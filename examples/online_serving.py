@@ -3,7 +3,7 @@
 Walks the full lifecycle of serving LearnedWMP predictions online:
 
 1. train two model versions (a quick ridge model and a stronger XGBoost one),
-2. register both in a :class:`~repro.serving.registry.ModelRegistry`,
+2. register both in a :class:`~repro.registry.ModelRegistry`,
 3. serve version 1 through a :class:`~repro.serving.server.PredictionServer`
    (micro-batching + LRU/TTL prediction cache + request coalescing),
 4. load-test it with skewed replay traffic at a target request rate,

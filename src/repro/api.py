@@ -220,8 +220,8 @@ class Predictor(Protocol):
 def predict_values(model: Any, workloads: Sequence[Workload]) -> list[float]:
     """Raw per-workload estimates from any legacy predictor object, batched.
 
-    The core models, the reference predictors and the serving layer all
-    expose a vectorized ``predict(workloads)``; using it turns N model
+    The core models and the reference predictors expose a vectorized
+    ``predict(workloads)``; using it turns N model
     invocations into one (``LearnedWMP`` assigns templates over the
     concatenated queries and calls the regressor once).  Objects exposing
     only ``predict_workload`` are handled with a plain loop — including

@@ -107,8 +107,7 @@ def batch_predict(
 ) -> list[float]:
     """Predict every workload, batched when the predictor supports it.
 
-    The core models, the reference predictors and the serving layer's
-    :class:`~repro.serving.server.PredictionServer` all expose a vectorized
+    The core models and the reference predictors expose a vectorized
     ``predict(workloads)``; using it turns N model invocations into one
     (LearnedWMP assigns templates over the concatenated queries and calls the
     regressor once).  Predictors exposing only the protocol's

@@ -18,10 +18,9 @@ this module merges them into one subsystem:
   persistence via :mod:`repro.core.serialization`, and per-name lineage
   queries (:meth:`ModelRegistry.history`, :meth:`ModelRegistry.latest`).
 
-The old import paths — ``repro.serving.registry.ModelRegistry`` and
-``repro.integration.lifecycle.ModelRegistry`` — remain importable as thin
-deprecation shims; new code should import from :mod:`repro.registry` (or the
-top-level ``repro`` package) only.
+Import it from :mod:`repro.registry` (or the top-level ``repro``
+package); ``repro.serving`` and ``repro.integration`` re-export the same
+class.
 
 For deployments whose model population outgrows one registry process, the
 module also provides the sharded tier: :class:`ConsistentHashRing` (hash-ring

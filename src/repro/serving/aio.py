@@ -8,9 +8,9 @@ concurrency primitive is an event loop with thousands of cheap awaiting
 tasks.  :class:`AsyncPredictionServer` drives the *same* kernel from an
 asyncio loop instead:
 
-* every request is a coroutine on one private event loop; the kernel is
-  loop-confined, so cache hits and coalesced attachments resolve without
-  any thread handoff or lock;
+* every request is admitted by one callback on a private event loop; the
+  kernel is loop-confined, so cache hits and coalesced attachments are
+  handled there without any further handoff or lock;
 * the kernel's requested wake-up becomes one ``call_later`` timer; its
   ``FlushBatch`` actions become tasks that run the batched model call
   (CPU-bound numpy work) on a single-worker executor, so the loop keeps
@@ -22,11 +22,12 @@ asyncio loop instead:
 The event loop lives on a private daemon thread, which buys both call
 conventions at once: coroutine-native callers use :meth:`predict_async` /
 :meth:`predict_batch_async` from *their own* loop, while the synchronous
-facade (``predict`` / ``predict_batch`` / ``submit`` / ``predict_workload``)
-satisfies the :class:`repro.api.Predictor` protocol and the legacy
-``WorkloadMemoryPredictor`` surface — so admission control, the scheduler,
-the benchmarks and the :class:`~repro.serving.loadgen.LoadGenerator` drive
-an async server completely unchanged.
+facade (``submit_request`` / ``predict`` / ``predict_batch`` /
+``predict_workload``) satisfies the :class:`repro.api.Predictor` protocol
+and the ``WorkloadMemoryPredictor`` surface — so admission control, the
+scheduler, the benchmarks and the
+:class:`~repro.serving.loadgen.LoadGenerator` drive an async server
+completely unchanged.
 
 See ``docs/SERVING.md`` for the request lifecycle of both backends side by
 side and for tuning guidance.
@@ -43,18 +44,10 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any, Sequence
 
 from repro.api import CachePolicy, PredictionRequest, PredictionResult
-from repro.core.workload import Workload
-from repro.dbms.query_log import QueryRecord
 from repro.exceptions import DeadlineExceededError, ServingError
-from repro.serving.front import (
-    DEFAULT_MODEL_NAME,
-    KernelDriverBase,
-    await_within_budget,
-    submission_deadline,
-)
+from repro.serving.front import DEFAULT_MODEL_NAME, KernelDriverBase, submission_deadline
 from repro.serving.kernel import (
     Action,
-    Complete,
     FlushBatch,
     ServerConfig,
     apply_actions,
@@ -101,10 +94,6 @@ class AsyncPredictionServer(KernelDriverBase):
         # kernel itself, the waiter futures its actions resolve, the batch
         # tasks its flushes spawn, and the single wake-up timer.
         self._ids = itertools.count(1)
-        self._waiters: dict[int, "asyncio.Future[tuple[float, bool]]"] = {}
-        # rid → tenant label (accounting metadata for per-tenant telemetry;
-        # the kernel never sees it), dropped with the waiter.
-        self._tenants: dict[int, str] = {}
         self._batch_tasks: set["asyncio.Task[None]"] = set()
         # Ready-to-execute flushes, ordered highest-priority-first (FIFO by
         # batch_id within a level); one drainer task feeds them to the
@@ -147,21 +136,9 @@ class AsyncPredictionServer(KernelDriverBase):
             complete=self._complete,
             fail=self._fail,
             flush=self._spawn_batch,
-            tenant_of=self._tenants.get,
+            tenant_of=self._tenant_of,
         )
         self._reschedule()
-
-    def _complete(self, action: Complete) -> None:
-        self._tenants.pop(action.rid, None)
-        future = self._waiters.pop(action.rid, None)
-        if future is not None and not future.done():
-            future.set_result((action.value, action.cache_hit))
-
-    def _fail(self, rid: int, error: BaseException) -> None:
-        self._tenants.pop(rid, None)
-        future = self._waiters.pop(rid, None)
-        if future is not None and not future.done():
-            future.set_exception(error)
 
     def _reschedule(self) -> None:
         """Keep exactly one ``call_later`` timer at the kernel's wake-up."""
@@ -231,82 +208,38 @@ class AsyncPredictionServer(KernelDriverBase):
             actions = self._kernel.batch_failed(flush.batch_id, started_at, error, now)
         self._apply(actions)
 
-    # -- request coroutines (loop thread) ---------------------------------------------
+    def _admit(
+        self, request: PredictionRequest, signature: Any, future: "Future[PredictionResult]"
+    ) -> None:
+        """Loop side of :meth:`submit_request`: hand the kernel one ``Submit``.
 
-    async def _handle(
-        self,
-        workload: Workload,
-        *,
-        use_cache: bool = True,
-        signature: Any = None,
-        deadline_at: float | None = None,
-        tenant: str | None = None,
-        priority: int = 0,
-    ) -> tuple[float, bool]:
-        """Admit one request and await ``(value, cache_hit_provenance)``.
-
-        All pipeline semantics are the kernel's; telemetry is fed by
-        :func:`~repro.serving.kernel.apply_actions` when the resolving
-        action is performed, so this coroutine only awaits.  The future is
-        shielded: an abandoning caller must not cancel pipeline-owned work.
-        ``tenant`` labels this request's telemetry and keys the kernel's
-        quotas; ``priority`` orders scheduling and overload shedding.
+        All pipeline semantics are the kernel's; the resolving action builds
+        the :class:`~repro.api.PredictionResult` (:meth:`_complete`) and
+        feeds telemetry through :func:`~repro.serving.kernel.apply_actions`.
         """
-        if self._closed:
-            raise ServingError("cannot submit to a closed AsyncPredictionServer")
-        self._sync_version()
-        rid = next(self._ids)
-        future: "asyncio.Future[tuple[float, bool]]" = self._loop.create_future()
-        self._waiters[rid] = future
-        if tenant is not None:
-            self._tenants[rid] = tenant
-        self._apply(
-            self._kernel.submit(
-                rid,
-                workload,
-                now=time.monotonic(),
-                deadline_at=deadline_at,
-                use_cache=use_cache,
-                signature=signature,
-                tenant=tenant,
-                priority=priority,
-            )
-        )
-        value, cache_hit = await asyncio.shield(future)
-        return value, cache_hit
-
-    async def _value(
-        self, workload: Workload, *, use_cache: bool = True, signature: Any = None
-    ) -> float:
-        value, _ = await self._handle(workload, use_cache=use_cache, signature=signature)
-        return value
-
-    async def _request(
-        self, request: PredictionRequest, *, signature: Any = None
-    ) -> PredictionResult:
         arrival = time.monotonic()
-        self._sync_version()
-        version = self._served_version
-        feature_cache_active = self._feature_cache_active
-        use_cache = request.cache_policy is not CachePolicy.BYPASS
-        deadline_at = arrival + request.deadline_s if request.deadline_s is not None else None
-        value, cache_hit = await self._handle(
-            request.workload,
-            use_cache=use_cache,
-            signature=signature,
-            deadline_at=deadline_at,
-            tenant=request.tenant,
-            priority=request.priority,
+        try:
+            if self._closed:
+                raise ServingError("cannot submit to a closed AsyncPredictionServer")
+            self._sync_version()
+            rid = next(self._ids)
+            actions = self._kernel.submit(
+                rid,
+                request.workload,
+                now=time.monotonic(),
+                deadline_at=None if request.deadline_s is None else arrival + request.deadline_s,
+                use_cache=request.cache_policy is not CachePolicy.BYPASS,
+                signature=signature,
+                tenant=request.tenant,
+                priority=request.priority,
+            )
+        except Exception as exc:  # noqa: BLE001 - delivered to the caller
+            future.set_exception(exc)
+            return
+        self._waiters[rid] = (
+            future, request, arrival, self._served_version, self._feature_cache_active
         )
-        return PredictionResult(
-            memory_mb=value,
-            request_id=request.request_id,
-            model_name=self.model_name,
-            model_version=version,
-            latency_s=time.monotonic() - arrival,
-            cache_hit=cache_hit,
-            feature_cache_active=feature_cache_active,
-        )
+        self._apply(actions)
 
     # -- native asyncio surface -------------------------------------------------------
 
@@ -325,7 +258,7 @@ class AsyncPredictionServer(KernelDriverBase):
     async def predict_async(self, request: PredictionRequest) -> PredictionResult:
         """Answer one typed request; awaitable from any event loop.
 
-        The coroutine runs on the server's private loop, so callers on other
+        The request runs on the server's private loop, so callers on other
         loops (or several tasks on the same one) compose freely; a request
         ``deadline_s`` is enforced end-to-end (shed from the batch queue
         once expired) and bounds this wait, raising
@@ -341,9 +274,9 @@ class AsyncPredictionServer(KernelDriverBase):
 
         Each request's deadline clock starts at its submission, not when its
         turn comes in the await loop below.  An expired wait abandons the
-        request instead of cancelling it: the handler coroutine keeps
-        running (shielded), so the shed/miss is still executed-or-shed and
-        counted by the pipeline exactly as on the thread backend.
+        request instead of cancelling it: the pipeline keeps the request
+        (its future cannot be cancelled), so the shed/miss is still
+        executed-or-shed and counted exactly as on the thread backend.
         """
         entries = [
             (
@@ -374,27 +307,23 @@ class AsyncPredictionServer(KernelDriverBase):
                 ) from exc
         return results
 
-    # -- synchronous facade (Predictor protocol + legacy surfaces) --------------------
-
-    def submit(
-        self, queries: Sequence[QueryRecord] | Workload, *, signature: Any = None
-    ) -> "Future[float]":
-        """Asynchronously predict one workload (concurrent future, like the thread backend)."""
-        if self._closed:
-            raise ServingError("cannot submit to a closed AsyncPredictionServer")
-        return asyncio.run_coroutine_threadsafe(
-            self._value(self._as_workload(queries), signature=signature), self._loop
-        )
+    # -- the submission primitive (the facade builds the sync surface on it) -----------
 
     def submit_request(
         self, request: PredictionRequest, *, signature: Any = None
     ) -> "Future[PredictionResult]":
-        """Asynchronously answer one typed request (concurrent future)."""
+        """Asynchronously answer one typed request (concurrent future).
+
+        The request is handed to the loop thread, which admits it into the
+        kernel; the future resolves there when the kernel completes, sheds
+        or fails it.  ``signature`` is the routing front's precomputed
+        workload signature, if any.
+        """
         if self._closed:
             raise ServingError("cannot submit to a closed AsyncPredictionServer")
-        return asyncio.run_coroutine_threadsafe(
-            self._request(request, signature=signature), self._loop
-        )
+        future = self._owned_future()
+        self._loop.call_soon_threadsafe(self._admit, request, signature, future)
+        return future
 
     # -- lifecycle ----------------------------------------------------------------------
 

@@ -1,11 +1,11 @@
 """Shared serving-front machinery: the protocol facade and the driver base.
 
 Every serving front (thread, asyncio, sharded) exposes the same surface —
-the typed :class:`repro.api.Predictor` protocol, the legacy
-``WorkloadMemoryPredictor`` surface, streaming, telemetry snapshots and the
-context-manager lifecycle.  That facade used to be copied into each front;
-:class:`ServingFrontBase` is the single copy.  A front only implements the
-two submission primitives (``submit`` / ``submit_request``) plus its stats
+the typed :class:`repro.api.Predictor` protocol, the
+``WorkloadMemoryPredictor`` ``predict_workload`` form, telemetry snapshots
+and the context-manager lifecycle.  That facade used to be copied into each
+front; :class:`ServingFrontBase` is the single copy.  A front only
+implements the one submission primitive (``submit_request``) plus its stats
 accessors, and inherits the rest.
 
 :class:`KernelDriverBase` adds what the two single-backend drivers (thread
@@ -21,9 +21,7 @@ import dataclasses
 import time
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from typing import Any, Iterable, Iterator, Sequence
-
-import numpy as np
+from typing import Any, Sequence
 
 from repro.api import PredictionRequest, PredictionResult, predict_values
 from repro.core.features import FeatureCacheStats
@@ -32,9 +30,8 @@ from repro.core.workload import Workload
 from repro.dbms.query_log import QueryRecord
 from repro.exceptions import DeadlineExceededError
 from repro.registry import ModelRegistry
-from repro.serving.batcher import BatcherStats
 from repro.serving.cache import CacheStats
-from repro.serving.kernel import PipelineKernel, ServerConfig
+from repro.serving.kernel import BatcherStats, Complete, PipelineKernel, ServerConfig
 from repro.serving.telemetry import ServingTelemetry, TelemetryReport
 
 __all__ = [
@@ -92,11 +89,10 @@ def await_within_budget(
 class ServingFrontBase:
     """The protocol facade every serving front shares.
 
-    Subclasses provide ``submit(queries, *, signature=None)`` returning a
-    ``Future[float]``, ``submit_request(request, *, signature=None)``
+    Subclasses provide ``submit_request(request, *, signature=None)``
     returning a ``Future[PredictionResult]``, a ``config``, a ``telemetry``
     accumulator, and ``feature_cache_stats()``; this base turns those into
-    the full :class:`repro.api.Predictor` + legacy surface.
+    the full :class:`repro.api.Predictor` surface plus ``predict_workload``.
     """
 
     config: ServerConfig
@@ -114,7 +110,7 @@ class ServingFrontBase:
 
     def predict_workload(self, queries: Sequence[QueryRecord] | Workload) -> float:
         """Blocking single prediction (WorkloadMemoryPredictor protocol)."""
-        return self.submit(queries).result()
+        return self.predict(PredictionRequest.of(queries)).memory_mb
 
     def _await_result(
         self,
@@ -142,40 +138,9 @@ class ServingFrontBase:
             for request, deadline_at, future in entries
         ]
 
-    def predict(
-        self, workloads: Sequence[Workload] | PredictionRequest
-    ) -> np.ndarray | PredictionResult:
-        """Prediction in either convention.
-
-        Given a typed :class:`~repro.api.PredictionRequest`, answers it with
-        a :class:`~repro.api.PredictionResult` (the
-        :class:`~repro.api.Predictor` protocol).  Given a sequence of
-        workloads, returns the legacy vectorized array of estimates; the
-        workloads are submitted up front, so the micro-batcher can form full
-        batches even though the caller is a single thread.
-        """
-        if isinstance(workloads, PredictionRequest):
-            request = workloads
-            return self._await_result(request, self.submit_request(request))
-        futures = [self.submit(workload) for workload in workloads]
-        return np.array([future.result() for future in futures], dtype=np.float64)
-
-    def predict_stream(
-        self, workloads: Iterable[Sequence[QueryRecord] | Workload]
-    ) -> Iterator[float]:
-        """Streaming prediction: yields results in input order.
-
-        Keeps up to ``config.stream_window`` requests in flight, which gives
-        the micro-batcher enough concurrency to coalesce while bounding
-        memory for unbounded streams.
-        """
-        window: list[Future] = []
-        for item in workloads:
-            window.append(self.submit(item))
-            if len(window) >= self.config.stream_window:
-                yield window.pop(0).result()
-        for future in window:
-            yield future.result()
+    def predict(self, request: PredictionRequest) -> PredictionResult:
+        """Answer one typed request (the :class:`repro.api.Predictor` protocol)."""
+        return self._await_result(request, self.submit_request(request))
 
     # -- telemetry --------------------------------------------------------------------
 
@@ -215,8 +180,10 @@ class KernelDriverBase(ServingFrontBase):
     Owns everything the thread and asyncio drivers share that is not I/O:
     registry resolution (a bare predictor is wrapped in a fresh single-entry
     registry), the :class:`~repro.serving.kernel.PipelineKernel`, the
-    batched model call, and the stats surface.  The driver subclass owns the
-    clocks/locks/loops that feed the kernel events and perform its actions.
+    waiter table that turns the kernel's resolving actions into typed
+    results, the batched model call, and the stats surface.  The driver
+    subclass owns the clocks/locks/loops that feed the kernel events and
+    perform its actions.
     """
 
     def __init__(
@@ -240,6 +207,51 @@ class KernelDriverBase(ServingFrontBase):
         self._served_version: int | None = None
         self._feature_cache_active = False
         self._closed = False
+        # rid → (caller's future, request, arrival, model version and
+        # feature-cache flag at admission); the action resolving the rid
+        # pops it and answers the caller.
+        self._waiters: dict[int, tuple] = {}
+
+    # -- waiters ----------------------------------------------------------------------
+
+    @staticmethod
+    def _owned_future() -> "Future[PredictionResult]":
+        """A caller-facing future only :meth:`_complete` / :meth:`_fail` resolve.
+
+        Marked running, so a caller (or an asyncio wrapper) can abandon it
+        but never cancel it: resolving a cancelled future would raise inside
+        the driver instead of touching only the one request.
+        """
+        future: "Future[PredictionResult]" = Future()
+        future.set_running_or_notify_cancel()
+        return future
+
+    def _tenant_of(self, rid: int) -> str | None:
+        waiter = self._waiters.get(rid)
+        return None if waiter is None else waiter[1].tenant
+
+    def _complete(self, action: Complete) -> None:
+        waiter = self._waiters.pop(action.rid, None)
+        if waiter is not None:
+            future, request, arrival, version, feature_cache_active = waiter
+            future.set_result(
+                PredictionResult(
+                    memory_mb=action.value,
+                    request_id=request.request_id,
+                    model_name=self.model_name,
+                    model_version=version,
+                    latency_s=time.monotonic() - arrival,
+                    cache_hit=action.cache_hit,
+                    feature_cache_active=feature_cache_active,
+                )
+            )
+
+    def _fail(self, rid: int, error: BaseException) -> None:
+        waiter = self._waiters.pop(rid, None)
+        if waiter is not None:
+            waiter[0].set_exception(error)
+
+    # -- model call -------------------------------------------------------------------
 
     def _predict_batch(self, workloads: list[Workload]) -> Sequence[float]:
         # Prefer the vectorized workload-batch convention, fall back to the

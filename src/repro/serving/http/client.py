@@ -2,7 +2,7 @@
 
 :class:`GatewayClient` satisfies the :class:`~repro.api.Predictor` protocol
 (``predict`` / ``predict_batch``) *and* the serving surface the load
-generator drives (``submit`` / ``submit_request`` returning futures,
+generator drives (``submit_request`` returning futures,
 ``snapshot``, ``cache_stats`` / ``batcher_stats``), so everything written
 against an in-process :class:`~repro.serving.server.PredictionServer` can
 point at a remote gateway by swapping one constructor:
@@ -12,7 +12,7 @@ point at a remote gateway by swapping one constructor:
 
 The transport is stdlib :mod:`http.client` with one persistent keep-alive
 connection per calling thread; concurrency comes from the caller's threads
-(or from the small executor behind ``submit``/``submit_request``), not from
+(or from the small executor behind ``submit_request``), not from
 the client.  Error bodies are mapped back to the library's exception
 hierarchy via their stable wire ``code`` — a 504 raises
 :class:`~repro.exceptions.DeadlineExceededError` just as an in-process
@@ -55,8 +55,8 @@ class GatewayClient:
     timeout_s:
         Socket timeout of each HTTP call.
     max_workers:
-        Threads behind :meth:`submit` / :meth:`submit_request` (the
-        future-returning surface the load generator drives).
+        Threads behind :meth:`submit_request` (the future-returning
+        surface the load generator drives).
     headers:
         Extra headers sent with every call (e.g. an auth token for a
         gateway running a real authenticator).
@@ -211,18 +211,14 @@ class GatewayClient:
             for index, entry in enumerate(payload["results"])
         ]
 
-    # -- the serving surface (load generator / legacy interop) --------------------
+    # -- the serving surface (load generator / in-process interop) ---------------
 
     def submit_request(self, request: PredictionRequest) -> "Future[PredictionResult]":
         """Async form: a future resolving to the result (or raising mapped errors)."""
         return self._executor.submit(self.predict, request)
 
-    def submit(self, queries: Sequence[QueryRecord] | Workload) -> "Future[PredictionResult]":
-        """Submit a bare workload with default request options."""
-        return self.submit_request(PredictionRequest.of(queries))
-
     def predict_workload(self, queries: Sequence[QueryRecord] | Workload) -> float:
-        """Legacy single-workload form (blocking)."""
+        """Single-workload form (blocking; the WorkloadMemoryPredictor protocol)."""
         return self.predict(PredictionRequest.of(queries)).memory_mb
 
     def cache_stats(self) -> None:

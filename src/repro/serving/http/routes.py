@@ -164,7 +164,7 @@ def build_router(gateway: "HttpGateway") -> Router:
 
         The backend sheds and accounts for expired work on its own; this
         bound only abandons the gateway-side wait (mirroring
-        :func:`repro.serving.server.await_within_budget`).
+        :func:`repro.serving.front.await_within_budget`).
         """
         if deadline_at is None:
             return await future

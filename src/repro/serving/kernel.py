@@ -62,11 +62,11 @@ from typing import Any, Callable, Hashable, Iterable, Sequence, Union
 
 from repro.core.workload import Workload
 from repro.exceptions import DeadlineExceededError, InvalidParameterError, ServingError
-from repro.serving.batcher import BatcherStats
 from repro.serving.cache import CacheStats, LRUTTLCache, workload_signature
 
 __all__ = [
     "ServerConfig",
+    "BatcherStats",
     "PipelineKernel",
     "STRIDE_SCALE",
     "Submit",
@@ -137,9 +137,6 @@ class ServerConfig:
     enable_cache / enable_batching:
         Feature switches; with batching disabled every admitted request is
         flushed immediately as a singleton batch (the naive baseline).
-    stream_window:
-        Maximum number of in-flight requests ``predict_stream`` keeps
-        outstanding, which is what lets the batcher coalesce a stream.
     max_queue_depth:
         Bound on the pending queue.  When an admit would exceed it, the
         scheduling-worst queued request (lowest priority, then latest
@@ -163,7 +160,6 @@ class ServerConfig:
     cache_ttl_s: float | None = None
     enable_cache: bool = True
     enable_batching: bool = True
-    stream_window: int = 64
     max_queue_depth: int | None = None
     tenant_weights: Any = None
     tenant_max_inflight: Any = None
@@ -180,8 +176,6 @@ class ServerConfig:
             raise InvalidParameterError("cache_entries must be >= 1")
         if self.cache_ttl_s is not None and self.cache_ttl_s <= 0.0:
             raise InvalidParameterError("cache_ttl_s must be > 0 (or None to disable expiry)")
-        if self.stream_window < 1:
-            raise InvalidParameterError("stream_window must be >= 1")
         if self.max_queue_depth is not None and self.max_queue_depth < 1:
             raise InvalidParameterError("max_queue_depth must be >= 1 (or None for unbounded)")
         object.__setattr__(
@@ -208,6 +202,26 @@ class ServerConfig:
                 if name == tenant:
                     return cap
         return None
+
+
+@dataclass(frozen=True)
+class BatcherStats:
+    """Counters describing the batches a :class:`PipelineKernel` has formed."""
+
+    requests: int
+    batches: int
+    size_flushes: int
+    deadline_flushes: int
+    close_flushes: int
+    max_batch_size_seen: int
+    shed_requests: int = 0
+
+    @property
+    def mean_batch_size(self) -> float:
+        """Average *executed* requests per formed batch (0.0 before the first)."""
+        if not self.batches:
+            return 0.0
+        return (self.requests - self.shed_requests) / self.batches
 
 
 # -- events ---------------------------------------------------------------------------
@@ -471,8 +485,9 @@ def apply_actions(
     ``tenant_of`` is the driver's rid→tenant lookup (requests carrying a
     :attr:`~repro.api.PredictionRequest.tenant` label); when provided, the
     resolving observation is also accumulated into that tenant's telemetry
-    slice.  The kernel itself never sees tenants — the label is pure
-    accounting metadata owned by the drivers.
+    slice.  Actions carry only the rid, so the driver, which holds each
+    waiting request, answers the lookup; the kernel keys its quotas and fair
+    share on the ``tenant=`` it was given at :meth:`PipelineKernel.submit`.
     """
     def _label(rid: int) -> dict[str, str]:
         # Passed as **kwargs only when a label exists, so duck-typed
@@ -612,7 +627,7 @@ class PipelineKernel:
         self._version: Any = None
         self._closing = False
         self._coalesced = 0
-        # BatcherStats-compatible counters.
+        # BatcherStats counters.
         self._requests = 0
         self._batches = 0
         self._size_flushes = 0
@@ -897,7 +912,7 @@ class PipelineKernel:
         return {tenant: n for tenant, n in self._tenant_inflight.items() if n > 0}
 
     def batcher_stats(self) -> BatcherStats:
-        """Micro-batching counters (same shape as the standalone batcher's)."""
+        """Micro-batching counters."""
         return BatcherStats(
             requests=self._requests,
             batches=self._batches,

@@ -147,7 +147,7 @@ class LoadGenerator:
     ----------
     server:
         The server under test: anything exposing the serving surface
-        (``submit`` / ``submit_request`` returning futures, ``snapshot``,
+        (``submit_request`` returning futures, ``snapshot``,
         ``cache_stats`` / ``batcher_stats``) — an in-process
         :class:`~repro.serving.server.PredictionServer`-shaped backend or a
         :class:`~repro.serving.http.client.GatewayClient` pointed at a
@@ -163,11 +163,12 @@ class LoadGenerator:
         Label carried into the report.
     deadline_s:
         Optional per-request deadline injected into the replayed traffic
-        (the CLI's ``--deadline-ms``).  Requests are then submitted as typed
-        :class:`~repro.api.PredictionRequest` objects, so the serving tier
-        enforces the budget end-to-end: expired requests are shed (counted
-        in the report's ``shed_requests`` / ``deadline_misses``, not in
-        ``n_errors``) instead of stretching the tail.
+        (the CLI's ``--deadline-ms``).  Every request is submitted as a
+        typed :class:`~repro.api.PredictionRequest` carrying it, so the
+        serving tier enforces the budget end-to-end: expired requests are
+        shed (counted in the report's ``shed_requests`` /
+        ``deadline_misses``, not in ``n_errors``) instead of stretching the
+        tail.
     seed:
         Provenance tag recorded in the report (``LoadTestReport.seed``);
         the replay itself is already deterministic given ``requests``.
@@ -240,8 +241,6 @@ class LoadGenerator:
     def _submit(self, i: int, workload: Workload) -> Future:
         if self._schedule is not None:
             return self.server.submit_request(self._schedule[i].to_request())
-        if self.deadline_s is None:
-            return self.server.submit(workload)
         return self.server.submit_request(
             PredictionRequest.of(workload, deadline_s=self.deadline_s)
         )

@@ -18,12 +18,12 @@ real clocks, locks and futures:
   naive baseline) — the kernel still coalesces identical concurrent
   requests in flight.
 
-The server natively satisfies the unified :class:`repro.api.Predictor`
-protocol (``submit_request`` / ``predict_batch`` answer typed
-:class:`~repro.api.PredictionRequest` objects) and keeps the legacy
-``predict_workload`` / ``predict(workloads)`` surfaces via the shared
-:class:`~repro.serving.front.ServingFrontBase` facade, so both old and new
-consumers can be pointed at a served model unchanged.
+The server's one submission primitive is ``submit_request``, answering a
+typed :class:`~repro.api.PredictionRequest` with a future of
+:class:`~repro.api.PredictionResult`; the shared
+:class:`~repro.serving.front.ServingFrontBase` facade builds the
+:class:`repro.api.Predictor` protocol (``predict`` / ``predict_batch``) and
+``predict_workload`` on it.
 """
 
 from __future__ import annotations
@@ -36,18 +36,10 @@ from concurrent.futures import Future
 from typing import Any, Sequence
 
 from repro.api import CachePolicy, PredictionRequest, PredictionResult
-from repro.core.workload import Workload
-from repro.dbms.query_log import QueryRecord
 from repro.exceptions import ServingError
-from repro.serving.front import (
-    DEFAULT_MODEL_NAME,
-    KernelDriverBase,
-    await_within_budget,
-    submission_deadline,
-)
+from repro.serving.front import DEFAULT_MODEL_NAME, KernelDriverBase
 from repro.serving.kernel import (
     Action,
-    Complete,
     FlushBatch,
     ServerConfig,
     apply_actions,
@@ -88,11 +80,6 @@ class PredictionServer(KernelDriverBase):
     ) -> None:
         super().__init__(source, model_name=model_name, config=config, telemetry=telemetry)
         self._work = threading.Condition()
-        self._waiters: dict[int, "Future[tuple[float, bool]]"] = {}
-        # rid → tenant label for requests that carry one; consulted by
-        # apply_actions when the resolving action feeds telemetry, dropped
-        # with the waiter.  The kernel itself never sees tenants.
-        self._tenants: dict[int, str] = {}
         self._ids = itertools.count(1)
         # Ready-to-execute flushes, ordered highest-priority-first (FIFO by
         # batch_id within a priority level) so a high-priority batch never
@@ -138,24 +125,12 @@ class PredictionServer(KernelDriverBase):
                 complete=self._complete,
                 fail=self._fail,
                 flush=self._unexpected_flush,
-                tenant_of=self._tenants.get,
+                tenant_of=self._tenant_of,
             )
 
     @staticmethod
     def _unexpected_flush(action: FlushBatch) -> None:
         raise ServingError("FlushBatch leaked past _collect")  # pragma: no cover
-
-    def _complete(self, action: Complete) -> None:
-        self._tenants.pop(action.rid, None)
-        future = self._waiters.pop(action.rid, None)
-        if future is not None:
-            future.set_result((action.value, action.cache_hit))
-
-    def _fail(self, rid: int, error: BaseException) -> None:
-        self._tenants.pop(rid, None)
-        future = self._waiters.pop(rid, None)
-        if future is not None:
-            future.set_exception(error)
 
     # -- request path -------------------------------------------------------------------
 
@@ -179,44 +154,54 @@ class PredictionServer(KernelDriverBase):
                 self._work.notify_all()
         self._dispatch(deferred)
 
-    def _submit(
-        self,
-        workload: Workload,
-        *,
-        use_cache: bool = True,
-        signature: Any = None,
-        deadline_at: float | None = None,
-        tenant: str | None = None,
-        priority: int = 0,
-    ) -> "Future[tuple[float, bool]]":
-        """Admit one request; the future resolves to ``(value, cache_hit)``.
+    def submit_request(
+        self, request: PredictionRequest, *, signature: Any = None
+    ) -> "Future[PredictionResult]":
+        """Asynchronously answer one typed :class:`~repro.api.PredictionRequest`.
 
-        All pipeline semantics (cache provenance, BYPASS write-through,
+        Cache hits resolve immediately; misses are handed to the kernel's
+        micro-batcher (or executed inline when batching is disabled).  All
+        pipeline semantics (cache provenance, BYPASS write-through,
         admission/queue/execution shedding, priority/fair-share scheduling,
         singleflight leadership rules) are the kernel's; see
-        :meth:`PipelineKernel.submit`.  ``tenant`` labels this request's
-        telemetry and keys the kernel's quotas; ``priority`` orders it in
-        batch assembly and overload shedding.
+        :meth:`PipelineKernel.submit`.  ``signature`` is the routing front's
+        precomputed workload signature, if any, so the hot path hashes once.
+
+        The resolved :class:`~repro.api.PredictionResult` carries the served
+        model's name and version (the version active when the request was
+        admitted), the request's observed latency, and provenance flags:
+        ``cache_hit`` when the prediction cache or in-flight coalescing
+        answered it, ``feature_cache_active`` when the served model carries
+        a plan-feature cache below the prediction tier.
+
+        A request ``deadline_s`` starts counting *here*, at admission: once
+        the budget expires the request is shed from the batch queue (the
+        future fails with :class:`~repro.exceptions.DeadlineExceededError`)
+        instead of executing on the model.
         """
         if self._closed:
             raise ServingError("cannot submit to a closed PredictionServer")
+        arrival = time.monotonic()
+        deadline_at = None if request.deadline_s is None else arrival + request.deadline_s
         self._sync_version()
+        future = self._owned_future()
         inline: list[FlushBatch] = []
         with self._work:
             rid = next(self._ids)
-            future: "Future[tuple[float, bool]]" = Future()
-            self._waiters[rid] = future
-            if tenant is not None:
-                self._tenants[rid] = tenant
             actions = self._kernel.submit(
                 rid,
-                workload,
+                request.workload,
                 now=time.monotonic(),
                 deadline_at=deadline_at,
-                use_cache=use_cache,
+                use_cache=request.cache_policy is not CachePolicy.BYPASS,
                 signature=signature,
-                tenant=tenant,
-                priority=priority,
+                tenant=request.tenant,
+                priority=request.priority,
+            )
+            # Registered before the lock is released, so before any action
+            # that resolves it is dispatched.
+            self._waiters[rid] = (
+                future, request, arrival, self._served_version, self._feature_cache_active
             )
             deferred = self._collect(
                 actions, inline=inline if not self.config.enable_batching else None
@@ -230,84 +215,6 @@ class PredictionServer(KernelDriverBase):
             # this execution.
             self._execute(flush)
         return future
-
-    def submit(
-        self, queries: Sequence[QueryRecord] | Workload, *, signature: Any = None
-    ) -> "Future[float]":
-        """Asynchronously predict one workload's memory demand (MB).
-
-        Cache hits resolve immediately; misses are handed to the kernel's
-        micro-batcher (or executed inline when batching is disabled).  The
-        returned future also feeds telemetry and populates the cache.
-        ``signature`` lets a routing front that already computed the
-        workload's signature pass it down, so the hot path hashes once.
-        """
-        inner = self._submit(self._as_workload(queries), signature=signature)
-        outer: "Future[float]" = Future()
-
-        def _unwrap(done: "Future[tuple[float, bool]]") -> None:
-            error = done.exception()
-            if error is not None:
-                outer.set_exception(error)
-                return
-            outer.set_result(done.result()[0])
-
-        inner.add_done_callback(_unwrap)
-        return outer
-
-    def submit_request(
-        self, request: PredictionRequest, *, signature: Any = None
-    ) -> "Future[PredictionResult]":
-        """Asynchronously answer one typed :class:`~repro.api.PredictionRequest`.
-
-        The resolved :class:`~repro.api.PredictionResult` carries the served
-        model's name and version (the version active when the request was
-        admitted), the request's observed latency, and provenance flags:
-        ``cache_hit`` when the prediction cache or in-flight coalescing
-        answered it, ``feature_cache_active`` when the served model carries
-        a plan-feature cache below the prediction tier.  ``signature`` is
-        the routing front's precomputed workload signature, if any.
-
-        A request ``deadline_s`` starts counting *here*, at admission: once
-        the budget expires the request is shed from the batch queue (the
-        future fails with :class:`~repro.exceptions.DeadlineExceededError`)
-        instead of executing on the model.
-        """
-        arrival = time.monotonic()
-        use_cache = request.cache_policy is not CachePolicy.BYPASS
-        deadline_at = arrival + request.deadline_s if request.deadline_s is not None else None
-        inner = self._submit(
-            request.workload,
-            use_cache=use_cache,
-            signature=signature,
-            deadline_at=deadline_at,
-            tenant=request.tenant,
-            priority=request.priority,
-        )
-        version = self._served_version
-        feature_cache_active = self._feature_cache_active
-        outer: "Future[PredictionResult]" = Future()
-
-        def _wrap(done: "Future[tuple[float, bool]]") -> None:
-            error = done.exception()
-            if error is not None:
-                outer.set_exception(error)
-                return
-            value, cache_hit = done.result()
-            outer.set_result(
-                PredictionResult(
-                    memory_mb=value,
-                    request_id=request.request_id,
-                    model_name=self.model_name,
-                    model_version=version,
-                    latency_s=time.monotonic() - arrival,
-                    cache_hit=cache_hit,
-                    feature_cache_active=feature_cache_active,
-                )
-            )
-
-        inner.add_done_callback(_wrap)
-        return outer
 
     # -- worker -------------------------------------------------------------------------
 

@@ -26,9 +26,10 @@ front's :meth:`~ShardedPredictionServer.snapshot` reports true fleet-wide
 latency percentiles; per-layer counters (prediction cache, micro-batcher,
 coalescing) are summed across shards.
 
-The front satisfies the :class:`repro.api.Predictor` protocol and the
-legacy surfaces via the shared :class:`~repro.serving.front.ServingFrontBase`
-facade, so everything that drives a single server — the CLI, the
+The front satisfies the :class:`repro.api.Predictor` protocol and
+``predict_workload`` via the shared
+:class:`~repro.serving.front.ServingFrontBase` facade, so everything that
+drives a single server — the CLI, the
 :class:`~repro.serving.loadgen.LoadGenerator`, admission control, the
 benchmarks — drives a sharded fleet unchanged.
 """
@@ -46,9 +47,9 @@ from repro.dbms.query_log import QueryRecord
 from repro.exceptions import InvalidParameterError, ServingError
 from repro.registry import ConsistentHashRing, ShardedModelRegistry
 from repro.serving.aio import AsyncPredictionServer
-from repro.serving.batcher import BatcherStats
 from repro.serving.cache import CacheStats, workload_signature
 from repro.serving.front import ServingFrontBase
+from repro.serving.kernel import BatcherStats
 from repro.serving.server import PredictionServer, ServerConfig
 from repro.serving.telemetry import ServingTelemetry
 
@@ -187,13 +188,7 @@ class ShardedPredictionServer(ServingFrontBase):
         """The per-shard backend servers, keyed by shard id (introspection)."""
         return dict(self._servers)
 
-    # -- submission primitives (the facade builds everything else on these) ---------
-
-    def submit(self, queries: Sequence[QueryRecord] | Workload) -> "Future[float]":
-        """Asynchronously predict one workload on its signature-routed shard."""
-        workload = self._as_workload(queries)
-        server, signature = self._dispatch(workload)
-        return server.submit(workload, signature=signature)
+    # -- the submission primitive (the facade builds everything else on it) ---------
 
     def submit_request(self, request: PredictionRequest) -> "Future[PredictionResult]":
         """Asynchronously answer one typed request on its routed shard."""

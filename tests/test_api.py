@@ -23,7 +23,11 @@ from repro.core.workload import Workload, make_workloads
 from repro.exceptions import InvalidParameterError
 from repro.integration.admission import AdmissionController
 from repro.integration.capacity import CapacityPlanner
-from repro.integration.predictors import CachedPredictor, ConstantMemoryPredictor
+from repro.integration.predictors import (
+    CachedPredictor,
+    ConstantMemoryPredictor,
+    batch_predict,
+)
 from repro.integration.scheduler import RoundScheduler
 from repro.integration.simulation import ConcurrentExecutionSimulator
 from repro.serving import PredictionServer, ServerConfig
@@ -221,7 +225,7 @@ class TestServedPredictions:
 
     def test_legacy_batch_convention_still_works(self, fitted_model, window):
         with PredictionServer(fitted_model) as server:
-            values = server.predict(list(window[:5]))
+            values = batch_predict(server, list(window[:5]))
             assert len(values) == 5
 
     def test_result_version_follows_promotion(self, fitted_model, window):

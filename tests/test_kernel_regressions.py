@@ -120,15 +120,33 @@ def test_unbatched_submits_still_coalesce(front):
         leader.start()
         assert gate.entered.wait(5.0)
 
-        followers = [server.submit(workload) for _ in range(2)]
+        followers = [server.submit_request(PredictionRequest.of(workload)) for _ in range(2)]
         assert wait_until(lambda: server.coalesced_requests == 2), front
 
         gate.release.set()
         leader.join(timeout=5.0)
         assert leader_value == [7.0], front
-        assert [f.result(timeout=5.0) for f in followers] == [7.0, 7.0], front
+        assert [f.result(timeout=5.0).memory_mb for f in followers] == [7.0, 7.0], front
         assert gate.calls == 1, front
         assert server.coalesced_requests == 2, front
+
+
+@pytest.mark.parametrize("front", FRONTS)
+def test_caller_cannot_cancel_pipeline_owned_request(front):
+    """A caller may abandon a request's future but never cancel it.
+
+    The driver resolves the future when the kernel answers; had the caller
+    cancelled it, that resolution would raise inside the driver (its worker
+    thread or event loop) instead of touching only the one request.
+    """
+    gate = GatePredictor(value=7.0)
+    with make_front(front, gate, ServerConfig(max_wait_s=0.0)) as server:
+        future = server.submit_request(PredictionRequest.of(POOL[0]))
+        assert gate.entered.wait(5.0)
+        assert future.cancel() is False, front
+        gate.release.set()
+        assert future.result(timeout=5.0).memory_mb == 7.0, front
+        assert server.predict_workload(POOL[1]) == 7.0, front
 
 
 @pytest.mark.parametrize("front", FRONTS)
@@ -192,22 +210,23 @@ def test_hot_swap_mid_batch_gates_stale_write_back(front):
     cls = PredictionServer if front == "thread" else AsyncPredictionServer
     workload, other = POOL[0], POOL[3]
     with cls(registry, config=config) as server:
-        first = server.submit(workload)
+        first = server.submit_request(PredictionRequest.of(workload))
         assert stale.entered.wait(5.0)  # batch is executing on the old model
 
         registry.register("default", FreshPredictor(), promote=True)
         # The driver observes the promotion at the next admission; queue an
         # unrelated request behind the busy slot to force the sync now.
-        second = server.submit(other)
+        second = server.submit_request(PredictionRequest.of(other))
         assert wait_until(lambda: server._served_version == 2), front
 
         stale.release.set()
         # The in-flight request still delivers its (stale) answer...
-        assert first.result(timeout=5.0) == 1.0, front
-        assert second.result(timeout=5.0) == 2.0, front
+        assert first.result(timeout=5.0).memory_mb == 1.0, front
+        assert second.result(timeout=5.0).memory_mb == 2.0, front
         # ...but the write-back was generation-gated: re-asking must execute
         # on the fresh model, not replay 1.0 from the cache.
-        assert server.submit(workload).result(timeout=5.0) == 2.0, front
+        again = server.submit_request(PredictionRequest.of(workload))
+        assert again.result(timeout=5.0).memory_mb == 2.0, front
         assert server.cache_stats().hits == 0, front
 
 

@@ -174,6 +174,7 @@ class TestServingProperties:
         predictions as calling the predictor one request at a time."""
         from oracle import LookupPredictor, naive_loop_values
 
+        from repro.api import PredictionRequest
         from repro.core.workload import Workload
         from repro.serving import PredictionServer, ServerConfig
 
@@ -183,7 +184,8 @@ class TestServingProperties:
             max_batch_size=max_batch, max_wait_s=0.001, enable_cache=False
         )
         with PredictionServer(LookupPredictor(), config=config) as server:
-            served = server.predict(workloads)
+            results = server.predict_batch([PredictionRequest.of(w) for w in workloads])
+            served = [r.memory_mb for r in results]
         assert np.allclose(served, unbatched)
 
     @_SETTINGS
@@ -196,6 +198,7 @@ class TestServingProperties:
         repetition pattern of a small workload pool."""
         from oracle import LookupPredictor, make_lookup_pool, naive_loop_values
 
+        from repro.api import PredictionRequest
         from repro.serving import PredictionServer, ServerConfig
 
         # Each pool entry carries a distinct query text: the cache keys on
@@ -205,7 +208,8 @@ class TestServingProperties:
         expected = naive_loop_values(LookupPredictor(), requests)
         config = ServerConfig(max_batch_size=max_batch, max_wait_s=0.001)
         with PredictionServer(LookupPredictor(), config=config) as server:
-            served = server.predict(requests)
+            results = server.predict_batch([PredictionRequest.of(w) for w in requests])
+            served = [r.memory_mb for r in results]
         assert np.allclose(served, expected)
 
 

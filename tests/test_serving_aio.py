@@ -28,6 +28,10 @@ from repro.serving import (
 )
 
 
+def typed(workloads):
+    return [PredictionRequest.of(workload) for workload in workloads]
+
+
 @pytest.fixture(scope="module")
 def workload_pool(tpcds_small):
     return make_workloads(tpcds_small.test_records, 10, seed=3)
@@ -52,21 +56,19 @@ class TestSyncFacade:
         model.fit(tpcds_small.train_records[:300])
         expected = model.predict(workload_pool[:8])
         with AsyncPredictionServer(model) as server:
-            served = server.predict(workload_pool[:8])
+            served = [r.memory_mb for r in server.predict_batch(typed(workload_pool[:8]))]
         np.testing.assert_allclose(served, expected, rtol=1e-9)
 
-    def test_predict_stream_preserves_order(self, workload_pool):
+    def test_predict_batch_preserves_order(self, workload_pool):
         predictor = CountingPredictor()
         with AsyncPredictionServer(predictor) as server:
-            results = list(server.predict_stream(workload_pool[:12]))
+            results = [r.memory_mb for r in server.predict_batch(typed(workload_pool[:12]))]
         assert results == [predictor.value] * 12
 
     def test_submit_after_close_raises(self, workload_pool):
         server = AsyncPredictionServer(ConstantMemoryPredictor(1.0))
         server.close()
         server.close()  # idempotent
-        with pytest.raises(ServingError):
-            server.submit(workload_pool[0])
         with pytest.raises(ServingError):
             server.submit_request(PredictionRequest.of(workload_pool[0]))
 
@@ -116,8 +118,10 @@ class TestCachingAndCoalescing:
         predictor = CountingPredictor()
         config = ServerConfig(max_batch_size=64, max_wait_s=0.05)
         with AsyncPredictionServer(predictor, config=config) as server:
-            futures = [server.submit(workload_pool[0]) for _ in range(20)]
-            results = [f.result(timeout=5.0) for f in futures]
+            futures = [
+                server.submit_request(PredictionRequest.of(workload_pool[0])) for _ in range(20)
+            ]
+            results = [f.result(timeout=5.0).memory_mb for f in futures]
             assert results == [predictor.value] * 20
             # One unique signature -> exactly one batched model call.
             assert sum(predictor.batch_sizes) == 1
@@ -127,7 +131,7 @@ class TestCachingAndCoalescing:
         predictor = CountingPredictor()
         config = ServerConfig(max_batch_size=32, max_wait_s=0.05)
         with AsyncPredictionServer(predictor, config=config) as server:
-            futures = [server.submit(w) for w in workload_pool[:12]]
+            futures = [server.submit_request(r) for r in typed(workload_pool[:12])]
             for future in futures:
                 future.result(timeout=5.0)
             stats = server.batcher_stats()
@@ -149,7 +153,7 @@ class TestCachingAndCoalescing:
         predictor = CountingPredictor()
         config = ServerConfig(max_batch_size=4, max_wait_s=0.05)
         with AsyncPredictionServer(predictor, config=config) as server:
-            futures = [server.submit(w) for w in workload_pool[:10]]
+            futures = [server.submit_request(r) for r in typed(workload_pool[:10])]
             for future in futures:
                 future.result(timeout=5.0)
             stats = server.batcher_stats()
@@ -189,12 +193,13 @@ class TestHotSwap:
         registry.register("m", CountingPredictor(value=10.0, delay_s=0.3))
         config = ServerConfig(max_wait_s=0.0)
         with AsyncPredictionServer(registry, model_name="m", config=config) as server:
-            stale = server.submit(workload_pool[0])  # in-flight on the old model
+            # In flight on the old model.
+            stale = server.submit_request(PredictionRequest.of(workload_pool[0]))
             time.sleep(0.05)
             registry.register("m", ConstantMemoryPredictor(99.0), promote=True)
-            fresh = server.submit(workload_pool[0])
-            assert fresh.result(timeout=5.0) == 99.0
-            assert stale.result(timeout=5.0) == 10.0  # admitted pre-swap
+            fresh = server.submit_request(PredictionRequest.of(workload_pool[0]))
+            assert fresh.result(timeout=5.0).memory_mb == 99.0
+            assert stale.result(timeout=5.0).memory_mb == 10.0  # admitted pre-swap
             # The pre-swap computation must not have repopulated the fresh
             # cache: a repeat still sees the promoted model's answer.
             assert server.predict_workload(workload_pool[0]) == 99.0
@@ -300,14 +305,14 @@ class TestDeadlines:
         predictor = CountingPredictor(delay_s=0.3)
         config = ServerConfig(max_wait_s=0.0)
         with AsyncPredictionServer(predictor, config=config) as server:
-            blocker = server.submit(workload_pool[0])
+            blocker = server.submit_request(PredictionRequest.of(workload_pool[0]))
             time.sleep(0.05)  # first batch occupies the single model worker
             doomed = server.submit_request(
                 PredictionRequest.of(workload_pool[1], deadline_s=0.1)
             )
             with pytest.raises(DeadlineExceededError):
                 doomed.result(timeout=5.0)
-            assert blocker.result(timeout=5.0) == predictor.value
+            assert blocker.result(timeout=5.0).memory_mb == predictor.value
             assert server.batcher_stats().shed_requests == 1
             report = server.snapshot()
         # Only the blocker's batch reached the model: the expired request
@@ -335,7 +340,9 @@ class TestDeadlines:
         config = ServerConfig(max_wait_s=0.0)
 
         async def drive(server):
-            blocker = asyncio.wrap_future(server.submit(workload_pool[0]))
+            blocker = asyncio.wrap_future(
+                server.submit_request(PredictionRequest.of(workload_pool[0]))
+            )
             await asyncio.sleep(0.05)  # first batch occupies the model worker
             with pytest.raises(DeadlineExceededError):
                 await server.predict_async(
@@ -424,7 +431,7 @@ class TestIntegrationAndTelemetry:
                 raise RuntimeError("boom")
 
         with AsyncPredictionServer(ConstantMemoryPredictor(5.0)) as server:
-            server.predict(workload_pool[:10])
+            server.predict_batch(typed(workload_pool[:10]))
             report = server.snapshot()
         assert report.n_requests == 10
         assert report.latency_p50_ms <= report.latency_p99_ms
@@ -438,7 +445,7 @@ class TestIntegrationAndTelemetry:
     def test_shared_telemetry_accumulator(self, workload_pool):
         telemetry = ServingTelemetry()
         with AsyncPredictionServer(ConstantMemoryPredictor(1.0), telemetry=telemetry) as one:
-            one.predict(workload_pool[:3])
+            one.predict_batch(typed(workload_pool[:3]))
         with AsyncPredictionServer(ConstantMemoryPredictor(2.0), telemetry=telemetry) as two:
-            two.predict(workload_pool[3:6])
+            two.predict_batch(typed(workload_pool[3:6]))
         assert telemetry.snapshot().n_requests == 6

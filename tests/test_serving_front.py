@@ -14,7 +14,6 @@ import threading
 import time
 from concurrent.futures import Future
 
-import numpy as np
 import pytest
 from oracle import LookupPredictor, make_lookup_pool
 
@@ -88,28 +87,15 @@ class TestAwaitWithinBudget:
 
 
 class SyncFront(ServingFrontBase):
-    """A minimal front: both submission primitives answer synchronously.
+    """A minimal front: the submission primitive answers synchronously."""
 
-    Records every submitted workload so window/ordering behavior of the
-    facade is observable without threads or a kernel.
-    """
-
-    def __init__(self, config: ServerConfig | None = None) -> None:
-        self.config = config or ServerConfig()
+    def __init__(self) -> None:
+        self.config = ServerConfig()
         self.telemetry = ServingTelemetry()
         self.model = LookupPredictor()
-        self.submitted: list[Workload] = []
         self.closed = False
 
-    def submit(self, queries, *, signature=None) -> "Future[float]":
-        workload = self._as_workload(queries)
-        self.submitted.append(workload)
-        future: "Future[float]" = Future()
-        future.set_result(self.model.predict_workload(workload))
-        return future
-
     def submit_request(self, request, *, signature=None) -> "Future[PredictionResult]":
-        self.submitted.append(request.workload)
         future: "Future[PredictionResult]" = Future()
         future.set_result(
             PredictionResult(
@@ -136,11 +122,6 @@ class TestServingFrontBase:
     def test_predict_workload_blocks_on_submit(self):
         assert SyncFront().predict_workload(POOL[2]) == 30.0
 
-    def test_predict_legacy_vectorized_form(self):
-        values = SyncFront().predict(POOL[:4])
-        assert isinstance(values, np.ndarray)
-        np.testing.assert_allclose(values, [10.0, 20.0, 30.0, 40.0])
-
     def test_predict_typed_form(self):
         request = PredictionRequest.of(POOL[3])
         result = SyncFront().predict(request)
@@ -153,17 +134,6 @@ class TestServingFrontBase:
         results = SyncFront().predict_batch(requests)
         assert [r.memory_mb for r in results] == [10.0, 20.0, 30.0]
         assert [r.request_id for r in results] == [r.request_id for r in requests]
-
-    def test_predict_stream_keeps_a_bounded_window_in_flight(self):
-        """The stream submits ahead of the consumer, but only window-deep."""
-        front = SyncFront(ServerConfig(stream_window=3))
-        stream = front.predict_stream(iter(POOL))
-        assert front.submitted == []  # lazy until first pull
-        assert next(stream) == 10.0
-        # The window filled and yielded its oldest: never the whole input.
-        assert len(front.submitted) == 3
-        assert list(stream) == [20.0, 30.0, 40.0, 50.0, 60.0]
-        assert len(front.submitted) == len(POOL)
 
     def test_snapshot_folds_feature_cache_counters(self):
         front = SyncFront()

@@ -65,7 +65,6 @@ class TestConfigValidation:
             {"max_wait_s": -0.1},
             {"cache_entries": 0},
             {"cache_ttl_s": 0.0},
-            {"stream_window": 0},
             {"max_queue_depth": 0},
             {"tenant_weights": {"": 1}},
             {"tenant_weights": {"a": 0}},
@@ -317,6 +316,18 @@ class TestBatching:
     def test_next_wakeup_none_when_nothing_pending(self):
         kernel = make_kernel()
         assert kernel.next_wakeup() is None
+
+    def test_mean_batch_size_is_zero_before_any_batch_and_excludes_sheds(self):
+        kernel = make_kernel(max_batch_size=2, max_wait_s=10.0)
+        assert kernel.batcher_stats().mean_batch_size == 0.0
+        kernel.submit(1, POOL[0], now=1.0, deadline_at=20.0)
+        flush = one(kernel.submit(2, POOL[1], now=1.0), FlushBatch)
+        # rid 1 expires before its batch starts: shed at execution, so the
+        # batch executes one of its two members.
+        run_batch(kernel, flush, [2.0], started_at=25.0)
+        stats = kernel.batcher_stats()
+        assert (stats.requests, stats.shed_requests, stats.batches) == (2, 1, 1)
+        assert stats.mean_batch_size == 1.0
 
     def test_freed_slot_immediately_flushes_due_singleton(self):
         kernel = make_kernel(max_batch_size=1, max_wait_s=10.0, enable_cache=False)

@@ -22,6 +22,10 @@ from repro.serving import (
 )
 
 
+def typed(workloads):
+    return [PredictionRequest.of(workload) for workload in workloads]
+
+
 @pytest.fixture(scope="module")
 def workload_pool(tpcds_small):
     from repro.core.workload import make_workloads
@@ -45,20 +49,20 @@ class TestPredict:
         model.fit(tpcds_small.train_records[:300])
         expected = model.predict(workload_pool[:8])
         with PredictionServer(model) as server:
-            served = server.predict(workload_pool[:8])
+            served = [r.memory_mb for r in server.predict_batch(typed(workload_pool[:8]))]
         np.testing.assert_allclose(served, expected, rtol=1e-9)
 
-    def test_predict_stream_preserves_order(self, workload_pool):
+    def test_predict_batch_preserves_order(self, workload_pool):
         predictor = CountingPredictor()
         with PredictionServer(predictor) as server:
-            results = list(server.predict_stream(workload_pool[:12]))
+            results = [r.memory_mb for r in server.predict_batch(typed(workload_pool[:12]))]
         assert results == [predictor.value] * 12
 
     def test_submit_after_close_raises(self, workload_pool):
         server = PredictionServer(ConstantMemoryPredictor(1.0))
         server.close()
         with pytest.raises(ServingError):
-            server.submit(workload_pool[0])
+            server.submit_request(PredictionRequest.of(workload_pool[0]))
 
 
 class TestCachingAndCoalescing:
@@ -77,8 +81,10 @@ class TestCachingAndCoalescing:
         predictor = CountingPredictor()
         config = ServerConfig(max_batch_size=64, max_wait_s=0.05)
         with PredictionServer(predictor, config=config) as server:
-            futures = [server.submit(workload_pool[0]) for _ in range(20)]
-            results = [f.result(timeout=5.0) for f in futures]
+            futures = [
+                server.submit_request(PredictionRequest.of(workload_pool[0])) for _ in range(20)
+            ]
+            results = [f.result(timeout=5.0).memory_mb for f in futures]
             assert results == [predictor.value] * 20
             # One unique signature -> at most one batched model call.
             assert sum(predictor.batch_sizes) == 1
@@ -136,7 +142,6 @@ class TestServerConfigValidation:
             {"cache_entries": -10},
             {"cache_ttl_s": 0.0},
             {"cache_ttl_s": -1.0},
-            {"stream_window": 0},
         ],
     )
     def test_invalid_knobs_rejected(self, kwargs):
@@ -183,14 +188,14 @@ class TestDeadlines:
         predictor = SlowPredictor(delay_s=0.3)
         config = ServerConfig(max_wait_s=0.0)
         with PredictionServer(predictor, config=config) as server:
-            blocker = server.submit(workload_pool[0])
+            blocker = server.submit_request(PredictionRequest.of(workload_pool[0]))
             time.sleep(0.05)  # let the first batch occupy the worker
             doomed = server.submit_request(
                 PredictionRequest.of(workload_pool[1], deadline_s=0.1)
             )
             with pytest.raises(DeadlineExceededError):
                 doomed.result(timeout=5.0)
-            assert blocker.result(timeout=5.0) == predictor.value
+            assert blocker.result(timeout=5.0).memory_mb == predictor.value
             assert server.batcher_stats().shed_requests == 1
             report = server.snapshot()
         # Only the blocker's batch reached the model.
@@ -279,12 +284,13 @@ class TestHotSwap:
         registry.register("m", SlowPredictor(value=10.0, delay_s=0.3))
         config = ServerConfig(max_wait_s=0.0)
         with PredictionServer(registry, model_name="m", config=config) as server:
-            stale = server.submit(workload_pool[0])  # in-flight on the old model
+            # In flight on the old model.
+            stale = server.submit_request(PredictionRequest.of(workload_pool[0]))
             time.sleep(0.05)
             registry.register("m", ConstantMemoryPredictor(99.0), promote=True)
-            fresh = server.submit(workload_pool[0])
-            assert fresh.result(timeout=5.0) == 99.0
-            assert stale.result(timeout=5.0) == 10.0  # admitted pre-swap
+            fresh = server.submit_request(PredictionRequest.of(workload_pool[0]))
+            assert fresh.result(timeout=5.0).memory_mb == 99.0
+            assert stale.result(timeout=5.0).memory_mb == 10.0  # admitted pre-swap
             # The pre-swap computation must not have repopulated the fresh
             # cache: a repeat still sees the promoted model's answer.
             assert server.predict_workload(workload_pool[0]) == 99.0
@@ -310,7 +316,7 @@ class TestServedPredictorPath:
 class TestTelemetry:
     def test_snapshot_counts_and_percentiles(self, workload_pool):
         with PredictionServer(ConstantMemoryPredictor(5.0)) as server:
-            server.predict(workload_pool[:10])
+            server.predict_batch(typed(workload_pool[:10]))
             report = server.snapshot()
         assert report.n_requests == 10
         assert report.throughput_qps > 0.0
@@ -350,7 +356,7 @@ class TestFeatureCacheTelemetry:
 
     def test_snapshot_carries_feature_cache_fields(self, fitted_model, workload_pool):
         with PredictionServer(fitted_model) as server:
-            server.predict(workload_pool[:8])
+            server.predict_batch(typed(workload_pool[:8]))
             report = server.snapshot()
         stats = fitted_model.feature_cache_stats()
         assert report.feature_cache_hits == stats.hits
@@ -361,7 +367,7 @@ class TestFeatureCacheTelemetry:
 
     def test_to_dict_and_render_include_feature_cache(self, fitted_model, workload_pool):
         with PredictionServer(fitted_model) as server:
-            server.predict(workload_pool[:4])
+            server.predict_batch(typed(workload_pool[:4]))
             report = server.snapshot()
         payload = report.to_dict()
         assert {
@@ -374,7 +380,7 @@ class TestFeatureCacheTelemetry:
 
     def test_fields_stay_zero_without_memoized_featurizer(self, workload_pool):
         with PredictionServer(ConstantMemoryPredictor(8.0)) as server:
-            server.predict(workload_pool[:4])
+            server.predict_batch(typed(workload_pool[:4]))
             report = server.snapshot()
             assert server.feature_cache_stats() is None
         assert report.feature_cache_hits == 0

@@ -18,6 +18,10 @@ from repro.serving import (
 )
 
 
+def typed(workloads):
+    return [PredictionRequest.of(workload) for workload in workloads]
+
+
 @pytest.fixture(scope="module")
 def workload_pool(tpcds_small):
     return make_workloads(tpcds_small.test_records, 10, seed=3)
@@ -77,7 +81,7 @@ class TestPredictions:
         expected = model.predict(workload_pool[:12])
         registry = _replicated_registry(model, n_shards=2)
         with ShardedPredictionServer(registry, backend=backend) as server:
-            served = server.predict(workload_pool[:12])
+            served = [r.memory_mb for r in server.predict_batch(typed(workload_pool[:12]))]
         np.testing.assert_allclose(served, expected, rtol=1e-9)
 
     def test_typed_batch_carries_provenance(self, workload_pool):
@@ -103,10 +107,10 @@ class TestPredictions:
         assert stats.hits == 18
         assert stats.misses == 9
 
-    def test_predict_stream_preserves_order(self, workload_pool):
+    def test_predict_batch_preserves_order(self, workload_pool):
         registry = _replicated_registry(ConstantMemoryPredictor(5.0))
         with ShardedPredictionServer(registry) as server:
-            results = list(server.predict_stream(workload_pool[:12]))
+            results = [r.memory_mb for r in server.predict_batch(typed(workload_pool[:12]))]
         assert results == [5.0] * 12
 
     def test_hot_swap_reaches_every_shard(self, workload_pool):
@@ -124,14 +128,14 @@ class TestPredictions:
         server.close()
         server.close()  # idempotent
         with pytest.raises(ServingError):
-            server.submit(workload_pool[0])
+            server.submit_request(PredictionRequest.of(workload_pool[0]))
 
 
 class TestAggregatedIntrospection:
     def test_snapshot_holds_the_whole_fleets_requests(self, workload_pool):
         registry = _replicated_registry(ConstantMemoryPredictor(1.0))
         with ShardedPredictionServer(registry) as server:
-            server.predict(workload_pool[:15])
+            server.predict_batch(typed(workload_pool[:15]))
             report = server.snapshot()
         assert report.n_requests == 15
         assert report.latency_p50_ms <= report.latency_p99_ms
@@ -140,7 +144,7 @@ class TestAggregatedIntrospection:
         registry = _replicated_registry(ConstantMemoryPredictor(1.0))
         config = ServerConfig(max_batch_size=16, max_wait_s=0.02)
         with ShardedPredictionServer(registry, config=config) as server:
-            futures = [server.submit(w) for w in workload_pool[:15]]
+            futures = [server.submit_request(r) for r in typed(workload_pool[:15])]
             for future in futures:
                 future.result(timeout=5.0)
             cache = server.cache_stats()
@@ -166,7 +170,7 @@ class TestAggregatedIntrospection:
         model.fit(tpcds_small.train_records[:300])
         registry = _replicated_registry(model, n_shards=2)
         with ShardedPredictionServer(registry) as server:
-            server.predict(workload_pool[:8])
+            server.predict_batch(typed(workload_pool[:8]))
             stats = server.feature_cache_stats()
             report = server.snapshot()
         assert stats is not None and stats.requests > 0
@@ -241,7 +245,7 @@ class TestDeadlines:
                 server.predict_batch(requests)
 
     def test_merged_batcher_stats_sum_shed_requests(self):
-        from repro.serving.batcher import BatcherStats
+        from repro.serving.kernel import BatcherStats
         from repro.serving.sharded import _merge_batcher_stats
 
         merged = _merge_batcher_stats(
