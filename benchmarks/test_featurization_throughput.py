@@ -11,9 +11,11 @@ configuration where the feature cache and the serving-layer prediction
 cache compound.
 """
 
+import dataclasses
 import time
 
 import numpy as np
+import pytest
 from conftest import run_once
 
 from repro.api import CachePolicy, PredictionRequest, as_predictor
@@ -61,10 +63,9 @@ def test_fingerprint_memo_beats_rehashing(benchmark):
     """The plan-object fingerprint memo must beat re-hashing every tree.
 
     Warm feature-cache hits used to pay a full blake2b re-hash of the plan
-    tree per call; with the invalidation-safe memo slot on ``PlanNode`` the
-    warm path is a cheap structural-token walk.  Exactness first: memoized
-    digests must equal freshly computed ones, and a mutation must still be
-    picked up.
+    tree per call; with the digest stored on the (immutable) plan the warm
+    path is one dict read.  Exactness first: memoized digests must equal
+    freshly computed ones, and a plan cannot be changed under its memo.
     """
     _, _, records = _replay_records()
     plans = [record.plan for record in records]
@@ -94,12 +95,11 @@ def test_fingerprint_memo_beats_rehashing(benchmark):
 
     assert warm_digests == cold_digests
     assert warm_s < cold_s
-    # Invalidation safety: a mutation must change the digest despite the memo.
+    # The memo cannot go stale: plans reject assignment once built.
     victim = plans[0]
     before = plan_fingerprint(victim)
-    victim.est_cardinality += 1.0
-    assert plan_fingerprint(victim) != before
-    victim.est_cardinality -= 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        victim.est_cardinality += 1.0
     assert plan_fingerprint(victim) == before
 
 

@@ -51,7 +51,8 @@ cover the day-to-day tasks of working with the reproduction:
 
 ``gateway``
     Stand up an HTTP/1.1 JSON gateway (``repro.serving.http``) in front of a
-    served model and block until ``--duration-s`` elapses (or Ctrl-C).
+    served model and block until ``--duration-s`` elapses (or Ctrl-C or
+    SIGTERM, both of which shut it down cleanly).
     Takes the same model/backend flags as ``serve`` plus ``--host`` /
     ``--port``; see ``docs/GATEWAY.md`` for the wire protocol.
 
@@ -248,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--duration-s",
         type=float,
         default=None,
-        help="serve for this many seconds then exit (default: until Ctrl-C)",
+        help="serve for this many seconds then exit (default: until Ctrl-C or SIGTERM)",
     )
 
     figures = subparsers.add_parser(
@@ -500,6 +501,7 @@ def _parity_check(server, model, requests, n_samples: int = 8) -> float:
 
 
 def _cmd_gateway(args: argparse.Namespace) -> int:
+    import signal
     import time
 
     from repro.serving.http import GatewayConfig, HttpGateway
@@ -507,13 +509,16 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
     registry, server, _ = _serving_setup(args)
     config = GatewayConfig(host=args.host, port=args.port, max_inflight=args.max_inflight)
     with server, HttpGateway(server, config=config) as gateway:
-        print(
-            f"gateway listening on {gateway.url} "
-            f"(model 'default' v{registry.active_version('default')}, "
-            f"backend={args.backend}, shards={args.shards})",
-            flush=True,
-        )
+        # SIGTERM stops the gateway the way Ctrl-C does, through the teardown
+        # of this ``with`` block (a background start may ignore SIGINT).
+        previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
         try:
+            print(
+                f"gateway listening on {gateway.url} "
+                f"(model 'default' v{registry.active_version('default')}, "
+                f"backend={args.backend}, shards={args.shards})",
+                flush=True,
+            )
             if args.duration_s is None:
                 while True:  # serve until interrupted
                     time.sleep(3600.0)
@@ -521,6 +526,8 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
                 time.sleep(args.duration_s)
         except KeyboardInterrupt:
             pass
+        finally:
+            signal.signal(signal.SIGTERM, previous)
     print("gateway stopped")
     return 0
 

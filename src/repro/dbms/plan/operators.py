@@ -10,15 +10,19 @@ type plus the two cardinality views the rest of the system needs:
 * ``true_input_cardinality`` / ``true_cardinality`` — what actually flows
   through the operator when the query runs.  Only the ground-truth memory
   model looks at these.
+
+Plans are immutable values: a node's fields cannot be reassigned and its
+``children`` are a tuple, so a built tree never changes.  Derive a changed
+plan with :func:`dataclasses.replace`, which builds a new node.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
 
-__all__ = ["OperatorType", "PlanNode", "BLOCKING_OPERATORS", "FINGERPRINT_FIELDS"]
+__all__ = ["OperatorType", "PlanNode", "BLOCKING_OPERATORS"]
 
 
 class OperatorType(str, Enum):
@@ -47,15 +51,10 @@ BLOCKING_OPERATORS: frozenset[OperatorType] = frozenset(
     {OperatorType.SORT, OperatorType.HSJOIN, OperatorType.GRPBY}
 )
 
-#: PlanNode fields that participate in :func:`repro.core.features.plan_fingerprint`.
-#: Assigning any of them bumps the node's fingerprint version, which is what
-#: keeps the per-node fingerprint memo invalidation-safe (see PlanNode notes).
-FINGERPRINT_FIELDS: frozenset[str] = frozenset({"op_type", "est_cardinality", "children"})
 
-
-@dataclass
+@dataclass(frozen=True)
 class PlanNode:
-    """One operator of a query execution plan.
+    """One operator of a query execution plan (immutable once built).
 
     Attributes
     ----------
@@ -72,7 +71,8 @@ class PlanNode:
     detail:
         Free-form annotation (join columns, sort keys, ...) for explain output.
     children:
-        Input operators; leaves are scans or DML value sources.
+        Input operators; leaves are scans or DML value sources.  Any sequence
+        is accepted and stored as a tuple.
     """
 
     op_type: OperatorType
@@ -83,26 +83,11 @@ class PlanNode:
     row_width: int = 8
     table: str | None = None
     detail: str = ""
-    children: list["PlanNode"] = field(default_factory=list)
+    children: tuple["PlanNode", ...] = ()
 
-    # -- fingerprint bookkeeping --------------------------------------------------
-    #
-    # ``plan_fingerprint`` (repro.core.features) memoizes its digest on the
-    # node it was called on, guarded by a cheap structural token derived from
-    # per-node ``_fp_version`` counters.  Assigning any field the fingerprint
-    # reads (FINGERPRINT_FIELDS) bumps this node's counter, and the token
-    # walk re-reads the ``children`` lists, so *any* mutation of the subtree
-    # — field assignment, child replacement, in-place list edits — changes
-    # the token and invalidates the memo.  The bookkeeping lives in
-    # ``__dict__`` (not dataclass fields), so repr/eq/pickle semantics of the
-    # plan are unchanged.
-
-    def __setattr__(self, name: str, value: object) -> None:
-        object.__setattr__(self, name, value)
-        if name in FINGERPRINT_FIELDS:
-            state = self.__dict__
-            state["_fp_version"] = state.get("_fp_version", 0) + 1
-            state.pop("_fp_memo", None)
+    def __post_init__(self) -> None:
+        if type(self.children) is not tuple:
+            object.__setattr__(self, "children", tuple(self.children))
 
     # -- traversal ----------------------------------------------------------------
 

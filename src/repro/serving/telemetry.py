@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import threading
 import time
+from array import array
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Callable, Mapping
 
@@ -221,7 +222,7 @@ class _TenantStats:
     )
 
     def __init__(self) -> None:
-        self.latencies_s: list[float] = []
+        self.latencies_s = array("d")
         self.errors = 0
         self.deadline_misses = 0
         self.shed_requests = 0
@@ -230,7 +231,7 @@ class _TenantStats:
         self.shed_priority_evict = 0
 
     def report(self) -> TenantReport:
-        latencies = np.asarray(self.latencies_s, dtype=np.float64)
+        latencies = np.array(self.latencies_s, dtype=np.float64)
         if len(latencies):
             p50, p95, p99 = np.percentile(latencies, [50.0, 95.0, 99.0])
             mean = float(latencies.mean())
@@ -262,7 +263,9 @@ class ServingTelemetry:
     def __init__(self, *, clock: Callable[[], float] = time.monotonic) -> None:
         self._clock = clock
         self._lock = threading.Lock()
-        self._latencies_s: list[float] = []
+        # ``array('d')`` holds 8 bytes per served request; a list of floats
+        # holds 32 (pointer plus boxed float).
+        self._latencies_s = array("d")
         self._cache_hits = 0
         self._errors = 0
         self._deadline_misses = 0
@@ -364,7 +367,7 @@ class ServingTelemetry:
     def reset(self) -> None:
         """Drop every observation (start a fresh measurement window)."""
         with self._lock:
-            self._latencies_s.clear()
+            del self._latencies_s[:]
             self._batch_sizes.clear()
             self._cache_hits = 0
             self._errors = 0
@@ -381,7 +384,9 @@ class ServingTelemetry:
     def snapshot(self) -> TelemetryReport:
         """Distil the observations into an immutable :class:`TelemetryReport`."""
         with self._lock:
-            latencies = np.asarray(self._latencies_s, dtype=np.float64)
+            # A copy, not a view: an ``array`` exporting its buffer cannot
+            # grow, and ``record`` may append as soon as the lock is released.
+            latencies = np.array(self._latencies_s, dtype=np.float64)
             n = len(latencies)
             if n and self._first_at is not None and self._last_at is not None:
                 duration = max(self._last_at - self._first_at, 1e-9)

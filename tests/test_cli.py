@@ -1,9 +1,16 @@
 """Tests for the ``learnedwmp`` command-line interface."""
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 from repro.core.model import LearnedWMP
 from repro.core.serialization import load_model
@@ -347,6 +354,35 @@ class TestLoadtestScenario:
         assert payload["n_requests"] == 10  # steady 20 qps for 0.5 s
         assert payload["tenants"]["solo"]["n_requests"] == 10
         assert payload["tenants"]["solo"]["deadline_misses"] == 0
+
+
+class TestGateway:
+    @pytest.mark.skipif(sys.platform == "win32", reason="POSIX signals")
+    def test_sigterm_stops_cleanly(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "gateway", "--benchmark", "tpcc",
+             "--queries", "200", "--port", "0"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        )
+        watchdog = threading.Timer(120.0, proc.kill)
+        watchdog.start()
+        try:
+            lines = []
+            for line in proc.stdout:
+                lines.append(line)
+                if "listening on" in line:
+                    break
+            assert any("listening on" in line for line in lines), "".join(lines)
+            proc.send_signal(signal.SIGTERM)
+            rest, _ = proc.communicate(timeout=60)
+        finally:
+            watchdog.cancel()
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert proc.returncode == 0, "".join(lines) + rest
+        assert "gateway stopped" in rest
 
 
 class TestFigures:

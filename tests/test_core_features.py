@@ -1,7 +1,12 @@
 """Tests for the memoized featurization pipeline (plan-fingerprint cache)."""
 
 import copy
+import dataclasses
+import json
 import pickle
+import sys
+import threading
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -11,15 +16,13 @@ from hypothesis import strategies as st
 from repro.core.features import (
     FeatureCacheStats,
     MemoizedFeaturizer,
-    clear_shared_feature_cache,
     feature_cache_stats,
-    featurizer_config_fingerprint,
     plan_fingerprint,
-    shared_feature_cache_stats,
 )
 from repro.core.featurizer import PlanFeaturizer
 from repro.dbms.plan.operators import OperatorType, PlanNode
 from repro.exceptions import InvalidParameterError
+from repro.serving.http.schemas import plan_from_wire, plan_to_wire
 
 _SETTINGS = settings(
     max_examples=30,
@@ -28,12 +31,28 @@ _SETTINGS = settings(
 )
 
 
-def _plan(card_a: float = 1000.0) -> PlanNode:
+def _plan(
+    card_a: float = 1000.0,
+    *,
+    join_op: OperatorType = OperatorType.HSJOIN,
+    swap: bool = False,
+    extra: tuple[PlanNode, ...] = (),
+) -> PlanNode:
     scan_a = PlanNode(OperatorType.TBSCAN, est_cardinality=card_a, table="a")
     scan_b = PlanNode(OperatorType.TBSCAN, est_cardinality=500.0, table="b")
-    join = PlanNode(OperatorType.HSJOIN, est_cardinality=800.0, children=[scan_a, scan_b])
-    sort = PlanNode(OperatorType.SORT, est_cardinality=800.0, children=[join])
+    scans = [scan_b, scan_a] if swap else [scan_a, scan_b]
+    join = PlanNode(join_op, est_cardinality=800.0, children=scans)
+    sort = PlanNode(OperatorType.SORT, est_cardinality=800.0, children=[join, *extra])
     return PlanNode(OperatorType.RETURN, est_cardinality=800.0, children=[sort])
+
+
+def _replace_at(plan: PlanNode, path: Sequence[int], **changes) -> PlanNode:
+    """A new tree equal to ``plan`` except the node at child-index ``path``."""
+    if not path:
+        return dataclasses.replace(plan, **changes)
+    children = list(plan.children)
+    children[path[0]] = _replace_at(children[path[0]], path[1:], **changes)
+    return dataclasses.replace(plan, children=children)
 
 
 @st.composite
@@ -60,29 +79,24 @@ class TestPlanFingerprint:
         assert plan_fingerprint(_plan(1000.0)) != plan_fingerprint(_plan(1001.0))
 
     def test_operator_mutation_changes_fingerprint(self):
-        plan, mutated = _plan(), _plan()
-        mutated.children[0].children[0].op_type = OperatorType.MSJOIN
-        assert plan_fingerprint(plan) != plan_fingerprint(mutated)
+        merge_join = _plan(join_op=OperatorType.MSJOIN)
+        assert plan_fingerprint(_plan()) != plan_fingerprint(merge_join)
 
     def test_child_order_changes_fingerprint(self):
-        plan, swapped = _plan(), _plan()
-        join = swapped.children[0].children[0]
-        join.children = list(reversed(join.children))
-        assert plan_fingerprint(plan) != plan_fingerprint(swapped)
+        assert plan_fingerprint(_plan()) != plan_fingerprint(_plan(swap=True))
 
     def test_extra_node_changes_fingerprint(self):
-        plan, extended = _plan(), _plan()
-        extended.children[0].children.append(
-            PlanNode(OperatorType.FILTER, est_cardinality=10.0)
-        )
-        assert plan_fingerprint(plan) != plan_fingerprint(extended)
+        extended = _plan(extra=(PlanNode(OperatorType.FILTER, est_cardinality=10.0),))
+        assert plan_fingerprint(_plan()) != plan_fingerprint(extended)
 
     def test_featurizer_irrelevant_fields_do_not_fragment(self):
         # Fields the featurizer never reads are excluded from the identity.
-        plan, renamed = _plan(), _plan()
-        renamed.children[0].children[0].children[0].table = "other"
-        renamed.row_width = 64
-        renamed.true_cardinality = 123.0
+        plan = _plan()
+        renamed = _replace_at(plan, [0, 0, 0], table="other")
+        renamed = dataclasses.replace(
+            renamed, row_width=64, true_cardinality=123.0, detail="changed"
+        )
+        assert renamed != plan
         assert plan_fingerprint(plan) == plan_fingerprint(renamed)
 
     @_SETTINGS
@@ -93,70 +107,66 @@ class TestPlanFingerprint:
     @_SETTINGS
     @given(plan_trees())
     def test_cardinality_bump_changes_fingerprint(self, plan):
-        mutated = copy.deepcopy(plan)
-        mutated.est_cardinality = plan.est_cardinality + 1.0
-        assert plan_fingerprint(plan) != plan_fingerprint(mutated)
+        bumped = dataclasses.replace(plan, est_cardinality=plan.est_cardinality + 1.0)
+        assert plan_fingerprint(plan) != plan_fingerprint(bumped)
 
 
 class TestFingerprintMemo:
-    """The fingerprint digest is memoized on the plan object, invalidation-safe."""
+    """The digest is computed once per plan object and stored on it."""
 
     def test_repeated_fingerprint_is_stable(self):
         plan = _plan()
         first = plan_fingerprint(plan)
         assert plan_fingerprint(plan) == first
-        assert plan.__dict__.get("_fp_memo") is not None  # memo slot populated
-
-    def test_scalar_mutation_on_deep_node_invalidates_memo(self):
-        plan = _plan()
-        before = plan_fingerprint(plan)
-        plan.children[0].children[0].children[0].est_cardinality = 9999.0
-        after = plan_fingerprint(plan)
-        assert after != before
-        assert after == plan_fingerprint(_mutated_reference())
-
-    def test_op_type_mutation_invalidates_memo(self):
-        plan = _plan()
-        before = plan_fingerprint(plan)
-        plan.children[0].children[0].op_type = OperatorType.MSJOIN
-        assert plan_fingerprint(plan) != before
-
-    def test_in_place_child_append_invalidates_memo(self):
-        plan = _plan()
-        before = plan_fingerprint(plan)
-        plan.children[0].children.append(PlanNode(OperatorType.FILTER, est_cardinality=1.0))
-        assert plan_fingerprint(plan) != before
-
-    def test_in_place_child_reversal_invalidates_memo(self):
-        plan = _plan()
-        before = plan_fingerprint(plan)
-        join = plan.children[0].children[0]
-        join.children.reverse()
-        assert plan_fingerprint(plan) != before
-
-    def test_irrelevant_field_mutation_keeps_memo_valid(self):
-        plan = _plan()
-        before = plan_fingerprint(plan)
-        plan.row_width = 999
-        plan.true_cardinality = 123.0
-        plan.detail = "changed"
-        assert plan_fingerprint(plan) == before
+        assert plan.__dict__.get("_fp_memo") == first  # memo slot populated
 
     def test_mutate_then_revert_matches_fresh_tree(self):
         plan = _plan()
-        plan_fingerprint(plan)
-        plan.est_cardinality = 1.0
-        plan_fingerprint(plan)
-        plan.est_cardinality = 800.0  # back to the original value
-        assert plan_fingerprint(plan) == plan_fingerprint(_plan())
+        before = plan_fingerprint(plan)
+        changed = dataclasses.replace(plan, est_cardinality=1.0)
+        assert plan_fingerprint(changed) != before
+        reverted = dataclasses.replace(changed, est_cardinality=800.0)
+        assert plan_fingerprint(reverted) == plan_fingerprint(_plan()) == before
 
     def test_pickle_round_trip_keeps_fingerprint_correct(self):
         plan = _plan()
         before = plan_fingerprint(plan)
         restored = pickle.loads(pickle.dumps(plan))
+        assert restored == plan
         assert plan_fingerprint(restored) == before
-        restored.est_cardinality = 1.0  # the copy invalidates independently
-        assert plan_fingerprint(restored) != before
+        derived = dataclasses.replace(restored, est_cardinality=1.0)
+        assert plan_fingerprint(derived) != before
+        assert plan_fingerprint(restored) == plan_fingerprint(plan) == before
+
+    def test_in_place_child_append_invalidates_memo(self):
+        # Children cannot grow in place; the grown plan is a new tree whose
+        # fingerprint is computed afresh, not the original's memo.
+        plan = _plan()
+        before = plan_fingerprint(plan)
+        sort = plan.children[0]
+        extra = PlanNode(OperatorType.FILTER, est_cardinality=10.0)
+        with pytest.raises(AttributeError):
+            sort.children.append(extra)
+        grown = _replace_at(plan, [0], children=(*sort.children, extra))
+        assert plan_fingerprint(grown) == plan_fingerprint(_plan(extra=(extra,))) != before
+        assert plan_fingerprint(plan) == before
+
+    def test_in_place_child_reversal_invalidates_memo(self):
+        plan = _plan()
+        before = plan_fingerprint(plan)
+        join = plan.children[0].children[0]
+        with pytest.raises(AttributeError):
+            join.children.reverse()
+        swapped = _replace_at(plan, [0, 0], children=join.children[::-1])
+        assert plan_fingerprint(swapped) == plan_fingerprint(_plan(swap=True)) != before
+        assert plan_fingerprint(plan) == before
+
+    def test_irrelevant_field_mutation_keeps_memo_valid(self):
+        plan = _plan()
+        before = plan_fingerprint(plan)
+        relabelled = _replace_at(plan, [0], detail="sort keys changed", row_width=99)
+        assert relabelled != plan
+        assert plan_fingerprint(relabelled) == before
         assert plan_fingerprint(plan) == before
 
     @_SETTINGS
@@ -167,102 +177,49 @@ class TestFingerprintMemo:
         assert plan_fingerprint(copy.deepcopy(plan)) == first
 
 
-def _mutated_reference() -> PlanNode:
-    plan = _plan()
-    plan.children[0].children[0].children[0].est_cardinality = 9999.0
-    return plan
+class TestPlanImmutability:
+    """Plans cannot change once built; changed plans are new trees."""
 
+    def test_assigning_any_field_raises(self):
+        plan = _plan()
+        plan_fingerprint(plan)
+        deep = plan.children[0].children[0]
+        for node in (plan, deep):
+            for field in dataclasses.fields(PlanNode):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(node, field.name, getattr(node, field.name))
+        assert plan == _plan()
 
-class TestSharedFeatureCache:
-    """Opt-in process-level cache keyed by (featurizer config, plan fingerprint)."""
+    def test_children_is_tuple_even_when_a_list_is_passed(self):
+        leaf = PlanNode(OperatorType.TBSCAN, est_cardinality=1.0)
+        passed = [leaf]
+        node = PlanNode(OperatorType.SORT, children=passed)
+        assert node.children == (leaf,)
+        assert type(node.children) is tuple
+        before = plan_fingerprint(node)
+        passed.append(PlanNode(OperatorType.FILTER))  # the caller's list, not the node's
+        assert node.children == (leaf,)
+        assert plan_fingerprint(PlanNode(OperatorType.SORT, children=(leaf,))) == before
+        assert PlanNode(OperatorType.TBSCAN).children == ()
 
-    def setup_method(self):
-        clear_shared_feature_cache()
+    def test_replace_yields_new_node_with_fresh_fingerprint(self):
+        plan = _plan()
+        before = plan_fingerprint(plan)
+        root = dataclasses.replace(plan, est_cardinality=1.0)
+        assert root is not plan and "_fp_memo" not in root.__dict__
+        expected = PlanNode(OperatorType.RETURN, est_cardinality=1.0, children=plan.children)
+        assert plan_fingerprint(root) == plan_fingerprint(expected) != before
+        deep = _replace_at(plan, [0, 0, 0], est_cardinality=9999.0)
+        assert plan_fingerprint(deep) == plan_fingerprint(_plan(9999.0)) != before
+        assert plan_fingerprint(plan) == before
+        assert plan == _plan()
 
-    def test_same_config_shares_rows_across_instances(self):
-        a = MemoizedFeaturizer(PlanFeaturizer(), shared=True)
-        b = MemoizedFeaturizer(PlanFeaturizer(), shared=True)
-        misses_before = shared_feature_cache_stats().misses
-        row_a = a.featurize_plan(_plan())
-        hits_before = shared_feature_cache_stats().hits
-        row_b = b.featurize_plan(_plan())
-        stats = shared_feature_cache_stats()
-        assert np.array_equal(row_a, row_b)
-        assert stats.hits == hits_before + 1  # b was served from a's row
-        assert stats.misses == misses_before + 1
-
-    def test_different_configs_do_not_collide(self):
-        logged = MemoizedFeaturizer(PlanFeaturizer(log_cardinality=True), shared=True)
-        raw = MemoizedFeaturizer(PlanFeaturizer(log_cardinality=False), shared=True)
-        row_logged = logged.featurize_plan(_plan())
-        row_raw = raw.featurize_plan(_plan())
-        assert not np.array_equal(row_logged, row_raw)
-        assert featurizer_config_fingerprint(logged.base) != featurizer_config_fingerprint(
-            raw.base
-        )
-
-    def test_clear_only_drops_own_config(self):
-        logged = MemoizedFeaturizer(PlanFeaturizer(log_cardinality=True), shared=True)
-        raw = MemoizedFeaturizer(PlanFeaturizer(log_cardinality=False), shared=True)
-        logged.featurize_plan(_plan())
-        raw.featurize_plan(_plan())
-        size_before = shared_feature_cache_stats().size
-        logged.clear()
-        assert shared_feature_cache_stats().size == size_before - 1
-        hits_before = shared_feature_cache_stats().hits
-        raw.featurize_plan(_plan())  # raw config survived the clear
-        assert shared_feature_cache_stats().hits == hits_before + 1
-
-    def test_private_caches_are_unaffected(self):
-        private = MemoizedFeaturizer(PlanFeaturizer())
-        shared = MemoizedFeaturizer(PlanFeaturizer(), shared=True)
-        private.featurize_plan(_plan())
-        assert shared_feature_cache_stats().size == 0
-        shared.featurize_plan(_plan())
-        assert private.stats().size == 1
-
-    def test_configure_feature_cache_shared_opt_in(self, tpcds_small):
-        from repro.core.model import LearnedWMP
-        from repro.core.workload import make_workloads
-
-        workloads = make_workloads(tpcds_small.test_records[:60], 10, seed=0)
-
-        def fit_model():
-            model = LearnedWMP(
-                regressor="ridge", n_templates=8, batch_size=10, random_state=0
-            )
-            model.fit(tpcds_small.train_records[:200])
-            return model
-
-        v1, v2 = fit_model(), fit_model()
-        v1.configure_feature_cache(shared=True)
-        v2.configure_feature_cache(shared=True)
-        assert v1.featurizer.shared and v2.featurizer.shared
-        expected = v1.predict(workloads)
-        hits_before = shared_feature_cache_stats().hits
-        # The hot-swapped second version reuses v1's rows: every plan hits.
-        assert np.array_equal(v2.predict(workloads), expected)
-        assert shared_feature_cache_stats().hits >= hits_before + 60
-        # Opting back out returns to a private cache.
-        v2.configure_feature_cache(shared=False)
-        assert v2.featurizer.shared is False
-
-    def test_mixed_hits_and_misses_in_one_batch(self, tpcds_small):
-        a = MemoizedFeaturizer(PlanFeaturizer(), shared=True)
-        b = MemoizedFeaturizer(PlanFeaturizer(), shared=True)
-        records = tpcds_small.train_records[:40]
-        a.featurize_records(records[:20])
-        expected = PlanFeaturizer().featurize_records(records)
-        assert np.array_equal(b.featurize_records(records), expected)
-
-    def test_pickle_keeps_shared_flag(self):
-        shared = MemoizedFeaturizer(PlanFeaturizer(), shared=True)
-        restored = pickle.loads(pickle.dumps(shared))
-        assert restored.shared is True
-        shared.featurize_plan(_plan())
-        hits_before = shared_feature_cache_stats().hits
-        restored.featurize_plan(_plan())  # rebinds to the same process store
-        assert shared_feature_cache_stats().hits == hits_before + 1
+    @_SETTINGS
+    @given(plan_trees())
+    def test_wire_round_trip_keeps_plan_and_fingerprint(self, plan):
+        restored = plan_from_wire(json.loads(json.dumps(plan_to_wire(plan))))
+        assert restored == plan
+        assert plan_fingerprint(restored) == plan_fingerprint(plan)
 
 
 class TestMemoizedFeaturizer:
@@ -384,6 +341,39 @@ class TestMemoizedFeaturizer:
         assert matrix.shape[0] == 5
         assert np.array_equal(matrix, np.tile(matrix[0], (5, 1)))
         assert memoized.stats().size == 1
+
+    def test_concurrent_featurization_keeps_counters_and_rows_exact(self, tpcds_small):
+        records = tpcds_small.train_records[:60]
+        expected = PlanFeaturizer().featurize_records(records)
+        memoized = MemoizedFeaturizer(max_entries=16)  # forces evictions
+        n_threads, n_rounds = 6, 20
+        failures = []
+
+        def worker(offset):
+            try:
+                for i in range(n_rounds):
+                    start = (offset + i) % 40
+                    batch = memoized.featurize_records(records[start:start + 20])
+                    if not np.array_equal(batch, expected[start:start + 20]):
+                        failures.append(start)
+            except Exception as exc:  # noqa: BLE001 - reported below
+                failures.append(exc)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        stats = memoized.stats()
+        assert stats.requests == n_threads * n_rounds * 20
+        assert stats.size <= 16
 
     def test_empty_batch(self):
         memoized = MemoizedFeaturizer()

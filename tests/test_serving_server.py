@@ -1,5 +1,6 @@
 """Tests for the prediction server, load generator and telemetry."""
 
+import sys
 import threading
 import time
 
@@ -335,6 +336,59 @@ class TestTelemetry:
         assert report.cache_hit_rate == pytest.approx(0.5)
         telemetry.reset()
         assert telemetry.snapshot().n_requests == 0
+
+    def test_snapshot_percentiles_match_a_float_list_exactly(self):
+        latencies = [float(x) for x in np.random.default_rng(3).exponential(0.02, 997)]
+        telemetry = ServingTelemetry()
+        for i, latency in enumerate(latencies):
+            telemetry.record(latency, tenant="a" if i % 3 else "b")
+
+        def expected(values):
+            p50, p95, p99 = np.percentile(np.asarray(values), [50.0, 95.0, 99.0])
+            return 1e3 * float(p50), 1e3 * float(p95), 1e3 * float(p99)
+
+        def observed(report):
+            return report.latency_p50_ms, report.latency_p95_ms, report.latency_p99_ms
+
+        report = telemetry.snapshot()
+        assert observed(report) == expected(latencies)
+        assert report.latency_mean_ms == 1e3 * float(np.mean(latencies))
+        assert report.latency_max_ms == 1e3 * max(latencies)
+        tenant_b = [x for i, x in enumerate(latencies) if i % 3 == 0]
+        assert observed(report.tenants["b"]) == expected(tenant_b)
+        telemetry.reset()
+        telemetry.record(latencies[0])
+        assert telemetry.snapshot().latency_p99_ms == 1e3 * latencies[0]
+
+    def test_snapshots_while_recording_lose_no_latency(self):
+        telemetry = ServingTelemetry()
+        n_threads, n_records = 4, 2000
+        failures = []
+
+        def record(k):
+            try:
+                for i in range(n_records):
+                    telemetry.record(1e-3 * (i % 7 + 1), tenant=f"t{k % 2}")
+            except Exception as exc:  # noqa: BLE001 - reported below
+                failures.append(exc)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=record, args=(k,)) for k in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            while any(thread.is_alive() for thread in threads):
+                telemetry.snapshot()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        report = telemetry.snapshot()
+        assert report.n_requests == n_threads * n_records
+        assert sum(t.n_requests for t in report.tenants.values()) == n_threads * n_records
 
     def test_empty_snapshot_is_all_zero(self):
         report = ServingTelemetry().snapshot()
